@@ -2,7 +2,7 @@
 //! with arbitration disabled and fixed per-tenant budgets, running the
 //! `tenants` mix through the discrete-event scheduler produces the exact
 //! bytes of the sharded `run_for` path — same ops, same engine counters,
-//! same footprint breakdowns, for every tenant. One global timeline must
+//! same footprint breakdowns, for every tenant. One shared timeline must
 //! be an *ordering* change, never a *behaviour* change.
 //!
 //! Two layers:

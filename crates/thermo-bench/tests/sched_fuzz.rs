@@ -1,17 +1,18 @@
 //! The ordering-fuzz campaign (DESIGN.md §13): `THERMO_SCHED_FUZZ`
-//! permutes the pop order of same-`(time, class)` scheduler batches
-//! under a seeded RNG — the one reordering freedom the discrete-event
-//! contract claims is unobservable. This test holds the whole experiment
-//! registry to that claim: every artifact must serialize to the exact
-//! bytes of the unfuzzed run under every fuzz seed.
+//! permutes, under a seeded RNG, the order in which the co-scheduled
+//! runner advances tenants through each interval between two arbiter
+//! barriers — the one reordering freedom the tenant-major contract
+//! claims is unobservable. This test holds the whole experiment registry
+//! to that claim: every artifact must serialize to the exact bytes of
+//! the unfuzzed run under every fuzz seed.
 //!
 //! Experiments on the sharded path never consult the knob (their
-//! tenants live on private timelines); `tenants_shared` is the one that
-//! actually exercises it, with apps, daemons, reporters, fabric pumps,
-//! and the arbiter sharing ticks on one timeline. The registry-wide
-//! sweep is deliberate anyway: it pins that the knob is inert everywhere
-//! else, so a future co-scheduled port of another experiment inherits
-//! the campaign for free.
+//! tenants live on private timelines); `tenants_shared` and `scen_storm`
+//! are the ones that actually exercise it, with tenants whose reporters
+//! feed one arbiter between barriers. The registry-wide sweep is
+//! deliberate anyway: it pins that the knob is inert everywhere else, so
+//! a future co-scheduled port of another experiment inherits the
+//! campaign for free.
 //!
 //! One `#[test]` owns the whole sweep because the knob is process-global
 //! env state — splitting per-seed tests would race env mutations across
@@ -53,7 +54,7 @@ fn fuzzed_pop_order_never_changes_artifact_bytes() {
             assert_eq!(
                 want, got,
                 "experiment {id}: THERMO_SCHED_FUZZ={seed} changed artifact bytes — \
-                 a component pair in the same (time, class) batch does not commute"
+                 two tenants advanced between the same barriers do not commute"
             );
         }
     }

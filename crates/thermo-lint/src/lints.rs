@@ -881,11 +881,12 @@ fn lint_steal_fns(tokens: &[Token], file: &str, findings: &mut Vec<Finding>) {
 }
 
 /// D4: ambient-ordering sources inside a `Component` impl (any crate —
-/// D2's bench allowlist deliberately does not apply here). The scheduler
-/// permutes same-`(time, class)` batches under `THERMO_SCHED_FUZZ`, so a
-/// tick that consults a wall clock, the environment, thread identity, or
-/// external entropy makes the permutation observable and breaks the
-/// byte-identity contract the fuzz campaign enforces.
+/// D2's bench allowlist deliberately does not apply here). The
+/// co-scheduled runner permutes the order tenants advance between
+/// arbiter barriers under `THERMO_SCHED_FUZZ`, so a tick that consults a
+/// wall clock, the environment, thread identity, or external entropy
+/// makes the permutation observable and breaks the byte-identity
+/// contract the fuzz campaign enforces.
 fn lint_component_impls(tokens: &[Token], file: &str, findings: &mut Vec<Finding>) {
     let hint = "Component::tick must be a pure function of component state and virtual \
                 time; read config at construction, never inside the event loop";

@@ -5,10 +5,10 @@
 //! The arbiter never touches an engine itself — it consumes
 //! [`TenantReport`]s (produced by reporter components from §4.3's
 //! slowdown-estimation machinery) and emits [`Decision`]s that the
-//! scheduler's arbiter component applies. Keeping it pure makes the whole
-//! grant/reclaim protocol property-testable without building engines
-//! (`tests/prop_arbiter.rs` drives 256 randomized interleavings straight
-//! against this type).
+//! co-scheduled runner applies at each barrier. Keeping it pure makes
+//! the whole grant/reclaim protocol property-testable without building
+//! engines (`tests/prop_arbiter.rs` drives 256 randomized interleavings
+//! straight against this type).
 //!
 //! Invariants (enforced here, asserted in the property tests):
 //!

@@ -319,23 +319,23 @@ impl Fabric {
             let mut budget =
                 (self.cfg.link_bandwidth_bytes_per_sec as u128 * dt as u128 / 1_000_000_000) as u64;
             let mut moved = 0u64;
-            let mut keep: VecDeque<u64> = VecDeque::new();
             let mut starved = false;
-            while let Some(id) = link.queue.pop_front() {
-                let Some(txn) = self.txns.get_mut(&id) else {
-                    continue; // resolved; stale queue entry
+            // Filter the queue in place and in order: no rebuild, even on
+            // a starved tick.
+            let txns = &mut self.txns;
+            link.queue.retain_mut(|id| {
+                let Some(txn) = txns.get_mut(id) else {
+                    return false; // resolved; stale queue entry
                 };
                 if txn.state != TxnState::Copying {
-                    continue; // failed or already copied; drop lazily
+                    return false; // failed or already copied; drop lazily
                 }
                 if txn.resume_at_ns > now {
-                    keep.push_back(id); // still backing off
-                    continue;
+                    return true; // still backing off
                 }
                 if budget == 0 {
                     starved = true;
-                    keep.push_back(id);
-                    continue;
+                    return true;
                 }
                 let remaining = txn.size.bytes() as u64 - txn.copied_bytes;
                 let chunk = remaining.min(budget);
@@ -344,12 +344,12 @@ impl Fabric {
                 moved += chunk;
                 if txn.copied_bytes == txn.size.bytes() as u64 {
                     txn.state = TxnState::Copied;
+                    false
                 } else {
                     starved = true; // budget exhausted mid-page
-                    keep.push_back(id);
+                    true
                 }
-            }
-            link.queue = keep;
+            });
             if starved {
                 self.stats.congestion_events += 1;
             }

@@ -5,14 +5,14 @@
 
 use thermo_util::rng::{SliceRandom, SmallRng};
 
-/// Fisher–Yates–shuffles `batch` in place under the fuzz RNG.
+/// Fisher–Yates–shuffles the order in which live tenants are advanced
+/// through the next barrier interval.
 ///
-/// Called only on batches of components sharing one `(time, class)` heap
-/// key — the only positions where the scheduler's contract says order
-/// must not be observable. `tests/sched_fuzz.rs` asserts artifacts are
-/// byte-identical under four seeds of this permutation.
-pub(crate) fn permute_batch(rng: &mut SmallRng, batch: &mut [u32]) {
-    batch.shuffle(rng);
+/// Tenants between two arbiter barriers share no state, so the contract
+/// says this order must not be observable; `tests/sched_fuzz.rs` asserts
+/// artifacts are byte-identical under four seeds of this permutation.
+pub(crate) fn permute_tenants(rng: &mut SmallRng, order: &mut [usize]) {
+    order.shuffle(rng);
 }
 
 #[cfg(test)]
@@ -22,16 +22,16 @@ mod tests {
 
     #[test]
     fn permutation_is_seed_deterministic_and_a_bijection() {
-        let mut a: Vec<u32> = (0..16).collect();
+        let mut a: Vec<usize> = (0..16).collect();
         let mut b = a.clone();
-        permute_batch(&mut SmallRng::seed_from_u64(7), &mut a);
-        permute_batch(&mut SmallRng::seed_from_u64(7), &mut b);
+        permute_tenants(&mut SmallRng::seed_from_u64(7), &mut a);
+        permute_tenants(&mut SmallRng::seed_from_u64(7), &mut b);
         assert_eq!(a, b, "same seed, same permutation");
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "a permutation");
-        let mut c: Vec<u32> = (0..16).collect();
-        permute_batch(&mut SmallRng::seed_from_u64(8), &mut c);
+        let mut c: Vec<usize> = (0..16).collect();
+        permute_tenants(&mut SmallRng::seed_from_u64(8), &mut c);
         assert_ne!(a, c, "different seeds diverge (16! ≫ collisions)");
     }
 }

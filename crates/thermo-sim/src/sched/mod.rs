@@ -1,13 +1,25 @@
-//! The discrete-event co-scheduled engine (DESIGN.md §13).
+//! The co-scheduled multi-tenant engine (DESIGN.md §13).
 //!
-//! [`Scheduler`] drives heterogeneous [`Component`]s — tenant
-//! applications, policy daemons, migration-fabric pumps, slowdown
-//! reporters, and the fast-tier [`crate::arbiter::Arbiter`] — on **one
-//! global virtual timeline**, popping a min-heap of
+//! [`Scheduler`] is a discrete-event loop over heterogeneous
+//! [`Component`]s — tenant applications, policy daemons,
+//! migration-fabric pumps and slowdown reporters — popping a min-heap of
 //! `(next_tick, class, component_id)` events. The `class` is a fixed
-//! phase priority (arbiter < reporter < daemon < fabric < app) and
+//! phase priority (reporter < daemon < fabric < app) and
 //! `component_id` breaks the remaining ties, so runs are bit-for-bit
-//! deterministic.
+//! deterministic. [`Scheduler::run_until`] stops short of a time limit,
+//! so a caller can interleave its own events at barriers.
+//!
+//! [`run_tenants_coscheduled`] runs **tenant-major**: each tenant's
+//! components live in that tenant's own `Scheduler`, and the fast-tier
+//! [`crate::arbiter::Arbiter`] is ticked by a barrier loop. Before the
+//! arbiter's tick at `T`, every tenant is advanced through its events
+//! with time `< T`; with arbitration off there are no barriers and each
+//! tenant runs straight to its deadline. Every tenant sees exactly the
+//! event sequence one global heap over all components would give it:
+//! tenants share state only through the tenant-keyed [`Mailbox`] and the
+//! arbiter's decisions, and the arbiter ran first at its instant (class
+//! 0) on the global heap too. A tenant then runs hundreds of ops without a
+//! switch, so its engine state stays in the host cache.
 //!
 //! Two properties are load-bearing and tested:
 //!
@@ -18,13 +30,13 @@
 //!   `while policy.next_due_ns() <= engine.now_ns()` loop, and a daemon
 //!   whose tenant is past its deadline parks without firing, exactly as
 //!   `run_for` exits without a final policy tick.
-//! * **Order-independence within a tick** — components sharing a
-//!   `(time, class)` key must commute (tenants own disjoint engines;
-//!   cross-tenant communication flows only through the ordered
-//!   [`Mailbox`], consumed by the strictly-earlier-classed arbiter). The
-//!   `THERMO_SCHED_FUZZ=<seed>` knob permutes exactly those batches
-//!   under a seeded RNG; `tests/sched_fuzz.rs` asserts artifacts are
-//!   invariant.
+//! * **Order-independence between barriers** — the order in which
+//!   tenants are advanced through one barrier interval must be
+//!   unobservable (tenants own disjoint engines; reports reach the
+//!   arbiter only through the ordered [`Mailbox`] at the next barrier).
+//!   The `THERMO_SCHED_FUZZ=<seed>` knob permutes that order in every
+//!   interval under a seeded RNG; `tests/sched_fuzz.rs` asserts
+//!   artifacts are invariant.
 
 mod decide;
 
@@ -39,8 +51,6 @@ use std::collections::BinaryHeap;
 use std::rc::Rc;
 use thermo_util::rng::{SeedableRng, SmallRng};
 
-/// Phase priority of the arbiter (consumes strictly-earlier reports).
-pub const CLASS_ARBITER: u8 = 0;
 /// Phase priority of per-tenant slowdown reporters.
 pub const CLASS_REPORTER: u8 = 1;
 /// Phase priority of policy daemons (before the app at equal times, the
@@ -54,7 +64,7 @@ pub const CLASS_APP: u8 = 4;
 /// Group id used by components outside any tenant (the arbiter).
 pub const GROUP_GLOBAL: u32 = u32::MAX;
 
-/// One schedulable unit on the global virtual timeline.
+/// One schedulable unit on a virtual timeline.
 ///
 /// Implementations must be pure in their own state plus explicitly
 /// shared simulation state (`Rc<RefCell<Engine>>`, mailboxes): no wall
@@ -143,10 +153,10 @@ struct Slot {
 /// The discrete-event loop: a min-heap of `(next_tick, class, id)` over
 /// registered [`Component`]s. See the module docs for ordering and
 /// determinism rules.
+#[derive(Default)]
 pub struct Scheduler {
     slots: Vec<Slot>,
     heap: BinaryHeap<Reverse<(u64, u8, u32)>>,
-    fuzz: Option<SmallRng>,
     panics: Vec<(u32, u32, String, String)>,
     /// Scratch for the same-(time, class) batch, reused across events so
     /// the event loop allocates nothing in steady state.
@@ -158,24 +168,21 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Creates a scheduler; `fuzz_seed` enables the ordering-fuzz mode
-    /// (see [`fuzz_seed_from_env`]).
-    pub fn new(fuzz_seed: Option<u64>) -> Self {
-        Self {
-            slots: Vec::new(),
-            heap: BinaryHeap::new(),
-            fuzz: fuzz_seed.map(SmallRng::seed_from_u64),
-            panics: Vec::new(),
-            batch: Vec::new(),
-            live_essentials: 0,
-        }
+    /// Creates an empty scheduler.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Registers a component and returns its id (registration order).
     /// `essential` components keep the loop alive: [`Scheduler::run`]
-    /// returns once every essential component is parked.
+    /// returns once every essential component is parked. The first event
+    /// is keyed here; like every later key, it may only move later.
     pub fn add(&mut self, class: u8, group: u32, essential: bool, comp: Box<dyn Component>) -> u32 {
         let id = u32::try_from(self.slots.len()).expect("component id overflow");
+        let t = comp.next_tick_ns();
+        if t != u64::MAX {
+            self.heap.push(Reverse((t, class, id)));
+        }
         self.slots.push(Slot {
             comp,
             class,
@@ -221,11 +228,16 @@ impl Scheduler {
         self.live_essentials
     }
 
-    /// Pops entries until one is *current* (component unparked and its
-    /// `next_tick_ns` still equals the popped key); stale entries are
-    /// re-pushed with their fresh key.
-    fn pop_current(&mut self) -> Option<(u64, u8, u32)> {
-        while let Some(Reverse((t, c, id))) = self.heap.pop() {
+    /// Pops entries while the top key passes `accept`, until one is
+    /// *current* (component unparked and its `next_tick_ns` still equals
+    /// the popped key); stale entries are re-pushed with their fresh key.
+    /// Returns `None` once the top key fails `accept` or the heap is empty.
+    fn pop_current(&mut self, accept: impl Fn(u64, u8) -> bool) -> Option<(u64, u8, u32)> {
+        while let Some(&Reverse((t, c, id))) = self.heap.peek() {
+            if !accept(t, c) {
+                return None;
+            }
+            self.heap.pop();
             let slot = &self.slots[id as usize];
             if slot.parked {
                 continue;
@@ -241,6 +253,33 @@ impl Scheduler {
         None
     }
 
+    /// Runs every event with time `< limit`, then returns whether an
+    /// essential component is still live. An event at or past `limit`
+    /// stays queued for the next call.
+    pub fn run_until(&mut self, limit: u64) -> bool {
+        while self.live_essential() > 0 {
+            let Some((t, c, first)) = self.pop_current(|t, _| t < limit) else {
+                break;
+            };
+            // Collect the whole same-(time, class) batch and run it in id
+            // order, so each member ticks once before any member re-runs
+            // at the same key.
+            let mut batch = std::mem::take(&mut self.batch);
+            batch.clear();
+            batch.push(first);
+            while let Some((_, _, id)) = self.pop_current(|t2, c2| (t2, c2) == (t, c)) {
+                batch.push(id);
+            }
+            batch.sort_unstable();
+            batch.dedup();
+            for &id in &batch {
+                self.run_one(t, id);
+            }
+            self.batch = batch;
+        }
+        self.live_essential() > 0
+    }
+
     /// Runs the event loop to completion.
     ///
     /// # Errors
@@ -249,78 +288,20 @@ impl Scheduler {
     /// panicking component; the loop still drains every healthy group
     /// first, mirroring `thermo-exec`'s panic contract.
     pub fn run(&mut self) -> Result<(), SchedError> {
-        for (id, slot) in self.slots.iter().enumerate() {
-            let t = slot.comp.next_tick_ns();
-            if t != u64::MAX {
-                self.heap.push(Reverse((t, slot.class, id as u32)));
-            }
-        }
-
-        while self.live_essential() > 0 {
-            let Some((t, c, first)) = self.pop_current() else {
-                break;
-            };
-            // Collect the whole same-(time, class) batch. Members are
-            // guaranteed disjoint (distinct tenants), so their execution
-            // order is unobservable — which the fuzz mode verifies by
-            // permuting it.
-            let mut batch = std::mem::take(&mut self.batch);
-            batch.clear();
-            batch.push(first);
-            while let Some(&Reverse((t2, c2, _))) = self.heap.peek() {
-                if t2 != t || c2 != c {
-                    break;
-                }
-                let Some((_, _, id2)) = self.pop_current_at(t, c) else {
-                    break;
-                };
-                batch.push(id2);
-            }
-            batch.sort_unstable();
-            batch.dedup();
-            if let Some(rng) = &mut self.fuzz {
-                decide::permute_batch(rng, &mut batch);
-            }
-            for &id in &batch {
-                self.run_one(t, id);
-            }
-            self.batch = batch;
-        }
-
-        if let Some((component_id, group, label, message)) =
-            self.panics.iter().min_by_key(|p| p.0).cloned()
-        {
-            return Err(SchedError::ComponentPanicked {
-                component_id,
-                group,
-                label,
-                message,
-            });
-        }
-        Ok(())
+        self.run_until(u64::MAX);
+        self.first_panic().map_or(Ok(()), Err)
     }
 
-    /// Like [`Self::pop_current`] but only while the top key stays at
-    /// `(t, c)`; returns `None` once it moves past.
-    fn pop_current_at(&mut self, t: u64, c: u8) -> Option<(u64, u8, u32)> {
-        while let Some(&Reverse((t2, c2, _))) = self.heap.peek() {
-            if t2 != t || c2 != c {
-                return None;
-            }
-            let Reverse((_, _, id)) = self.heap.pop().expect("peeked");
-            let slot = &self.slots[id as usize];
-            if slot.parked {
-                continue;
-            }
-            let cur = slot.comp.next_tick_ns();
-            if cur == t2 {
-                return Some((t2, c2, id));
-            }
-            if cur != u64::MAX {
-                self.heap.push(Reverse((cur, slot.class, id)));
-            }
-        }
-        None
+    /// The lowest-id panic caught so far, if any.
+    fn first_panic(&self) -> Option<SchedError> {
+        let (component_id, group, label, message) =
+            self.panics.iter().min_by_key(|p| p.0).cloned()?;
+        Some(SchedError::ComponentPanicked {
+            component_id,
+            group,
+            label,
+            message,
+        })
     }
 
     fn run_one(&mut self, t: u64, id: u32) {
@@ -436,7 +417,7 @@ thermo_util::json_struct!(SchedConfig {
 
 /// Cross-component post box: reporters insert, the arbiter consumes.
 /// Keyed by tenant id so insertion *order* is unobservable — a fuzzed
-/// reporter batch leaves identical mailbox state.
+/// tenant order leaves identical mailbox state.
 #[derive(Default)]
 struct Mailbox {
     reports: std::collections::BTreeMap<u32, TenantReport>,
@@ -584,27 +565,22 @@ impl Component for ReporterComponent {
     }
 }
 
-/// The arbiter as a component: consumes mailbox reports (all strictly
-/// earlier on the timeline — `CLASS_ARBITER < CLASS_REPORTER`), runs one
-/// rebalance, and applies the decisions to the tenant engines.
-struct ArbiterComponent {
-    engines: Vec<Rc<RefCell<Engine>>>,
-    mailbox: Rc<RefCell<Mailbox>>,
+/// The arbiter on the barrier loop: consumes mailbox reports (all
+/// strictly earlier on the timeline — every tenant was advanced to just
+/// before `next_ns`), runs one rebalance, and applies the decisions to
+/// the tenant engines.
+struct PoolArbiter {
     arbiter: Arbiter,
     next_ns: u64,
     period_ns: u64,
-    trace: Rc<RefCell<Vec<ArbiterEvent>>>,
+    trace: Vec<ArbiterEvent>,
 }
 
-impl Component for ArbiterComponent {
-    fn next_tick_ns(&self) -> u64 {
-        self.next_ns
-    }
-
-    fn tick(&mut self) -> Control {
+impl PoolArbiter {
+    fn tick(&mut self, engines: &[Rc<RefCell<Engine>>], mailbox: &RefCell<Mailbox>) {
         let mut slowdowns: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
         {
-            let mut mb = self.mailbox.borrow_mut();
+            let mut mb = mailbox.borrow_mut();
             for (&tenant, report) in &mb.reports {
                 self.arbiter.report(tenant, *report);
                 slowdowns.insert(tenant, report.slowdown_pct);
@@ -612,9 +588,8 @@ impl Component for ArbiterComponent {
             mb.reports.clear();
         }
         let decisions = self.arbiter.rebalance();
-        let mut trace = self.trace.borrow_mut();
         for d in decisions {
-            let mut engine = self.engines[d.tenant as usize].borrow_mut();
+            let mut engine = engines[d.tenant as usize].borrow_mut();
             let action = match d.kind {
                 DecisionKind::Reclaim => {
                     // Demote cold capacity first, then lower the cap; the
@@ -631,7 +606,7 @@ impl Component for ArbiterComponent {
                 DecisionKind::Defer => "defer",
             };
             let slowdown = slowdowns.get(&d.tenant).copied().unwrap_or(0.0);
-            trace.push(ArbiterEvent {
+            self.trace.push(ArbiterEvent {
                 at_ns: self.next_ns,
                 tenant: u64::from(d.tenant),
                 action: action.to_string(),
@@ -641,11 +616,6 @@ impl Component for ArbiterComponent {
             });
         }
         self.next_ns += self.period_ns;
-        Control::Continue
-    }
-
-    fn label(&self) -> String {
-        "arbiter".into()
     }
 }
 
@@ -666,19 +636,34 @@ pub struct CoSchedOutcome {
     pub trace: Vec<ArbiterEvent>,
 }
 
-/// Runs `n_tenants` on one discrete-event timeline (single-threaded;
-/// determinism comes from the heap order, not worker scheduling).
+/// One tenant's private event loop plus what its outcome needs.
+struct TenantRun {
+    sched: Scheduler,
+    /// Global id of this tenant's first component: tenants number their
+    /// components consecutively in registration order, the arbiter last.
+    first_id: u32,
+    seed: u64,
+    start_ns: u64,
+    ops: Rc<Cell<u64>>,
+}
+
+/// Runs `n_tenants` on one virtual timeline (single-threaded;
+/// determinism comes from the event order, not worker scheduling).
 ///
 /// Tenant `t` is built from `(t, derive_stream_seed(base_seed, t))` —
 /// the same derivation `thermo-exec` gives sharded jobs, so the two
 /// paths see identical seeds. With `shared_pool_bytes == 0` in tenant
 /// 0's [`SchedConfig`] the run is charge-neutral to the sharded path;
-/// otherwise reporter/arbiter components arbitrate the shared fast tier.
+/// otherwise reporter components and the arbiter's barrier ticks
+/// arbitrate the shared fast tier. `fuzz_seed` permutes the order
+/// tenants are advanced within each barrier interval (see
+/// [`fuzz_seed_from_env`]).
 ///
 /// # Errors
 ///
-/// Returns [`SchedError`] when any component panics (the loop drains
-/// healthy groups first; the lowest panicking component id is reported).
+/// Returns [`SchedError`] when any component panics (healthy tenants
+/// drain first). The error names the lowest panicking component by its
+/// global id: tenant components in registration order, the arbiter last.
 pub fn run_tenants_coscheduled<F>(
     n_tenants: usize,
     duration_ns: u64,
@@ -689,11 +674,10 @@ pub fn run_tenants_coscheduled<F>(
 where
     F: Fn(u64, u64) -> (Engine, Box<dyn Workload>, Box<dyn PolicyHook>),
 {
-    let mut scheduler = Scheduler::new(fuzz_seed);
     let mailbox = Rc::new(RefCell::new(Mailbox::default()));
-    let trace = Rc::new(RefCell::new(Vec::new()));
     let mut engines: Vec<Rc<RefCell<Engine>>> = Vec::with_capacity(n_tenants);
-    let mut tenants: Vec<(u64, u64, Rc<Cell<u64>>)> = Vec::with_capacity(n_tenants);
+    let mut tenants: Vec<TenantRun> = Vec::with_capacity(n_tenants);
+    let mut next_id = 0u32;
     let mut pool_cfg: Option<SchedConfig> = None;
     let mut arbiter: Option<Arbiter> = None;
 
@@ -724,7 +708,8 @@ where
         let engine = Rc::new(RefCell::new(engine));
         let ops = Rc::new(Cell::new(0u64));
 
-        scheduler.add(
+        let mut sched = Scheduler::new();
+        sched.add(
             CLASS_DAEMON,
             t as u32,
             false,
@@ -735,7 +720,7 @@ where
             }),
         );
         if shared {
-            scheduler.add(
+            sched.add(
                 CLASS_REPORTER,
                 t as u32,
                 false,
@@ -749,7 +734,7 @@ where
                 }),
             );
             if fabric_enabled {
-                scheduler.add(
+                sched.add(
                     CLASS_FABRIC,
                     t as u32,
                     false,
@@ -761,7 +746,7 @@ where
                 );
             }
         }
-        scheduler.add(
+        let last_id = sched.add(
             CLASS_APP,
             t as u32,
             true,
@@ -775,40 +760,79 @@ where
             }),
         );
         engines.push(engine);
-        tenants.push((seed, start_ns, ops));
+        tenants.push(TenantRun {
+            sched,
+            first_id: next_id,
+            seed,
+            start_ns,
+            ops,
+        });
+        next_id += last_id + 1;
     }
 
-    if let Some(arbiter) = arbiter {
+    let mut pool = arbiter.map(|arbiter| {
         let period_ns = pool_cfg
             .expect("pool config set with arbiter")
             .rebalance_period_ns;
-        scheduler.add(
-            CLASS_ARBITER,
-            GROUP_GLOBAL,
-            false,
-            Box::new(ArbiterComponent {
-                engines: engines.clone(),
-                mailbox: Rc::clone(&mailbox),
-                arbiter,
-                next_ns: period_ns,
-                period_ns,
-                trace: Rc::clone(&trace),
-            }),
-        );
+        PoolArbiter {
+            arbiter,
+            next_ns: period_ns,
+            period_ns,
+            trace: Vec::new(),
+        }
+    });
+    let mut arbiter_panic = None;
+    let mut fuzz = fuzz_seed.map(SmallRng::seed_from_u64);
+    let mut live: Vec<usize> = (0..n_tenants).collect();
+
+    // The barrier loop: advance every live tenant to just before the
+    // arbiter's next tick, then tick it. A panicking arbiter stops
+    // arbitrating; the tenants then run to their deadlines.
+    loop {
+        let barrier_ns = pool.as_ref().map_or(u64::MAX, |p| p.next_ns);
+        if let Some(rng) = &mut fuzz {
+            decide::permute_tenants(rng, &mut live);
+        }
+        live.retain(|&t| tenants[t].sched.run_until(barrier_ns));
+        let Some(p) = pool.as_mut().filter(|_| !live.is_empty()) else {
+            break;
+        };
+        let ticked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.tick(&engines, &mailbox);
+        }));
+        if let Err(payload) = ticked {
+            arbiter_panic = Some(SchedError::ComponentPanicked {
+                component_id: next_id,
+                group: GROUP_GLOBAL,
+                label: "arbiter".into(),
+                message: panic_message(payload),
+            });
+            pool = None;
+        }
     }
 
-    scheduler.run()?;
+    // Tenants hold ids in ascending blocks, so the first tenant with a
+    // panic holds the lowest panicking id; the arbiter's id is the highest.
+    let first_panic = tenants.iter().find_map(|t| {
+        let mut err = t.sched.first_panic()?;
+        let SchedError::ComponentPanicked { component_id, .. } = &mut err;
+        *component_id += t.first_id;
+        Some(err)
+    });
+    if let Some(err) = first_panic.or(arbiter_panic) {
+        return Err(err);
+    }
 
     let mut shards = Vec::with_capacity(n_tenants);
     let mut pressure = Vec::with_capacity(n_tenants);
-    for (t, (seed, start_ns, ops)) in tenants.into_iter().enumerate() {
+    for (t, tenant) in tenants.iter().enumerate() {
         let engine = engines[t].borrow();
         shards.push(ShardOutcome {
             shard_id: t as u64,
-            seed,
+            seed: tenant.seed,
             outcome: RunOutcome {
-                ops: ops.get(),
-                start_ns,
+                ops: tenant.ops.get(),
+                start_ns: tenant.start_ns,
                 end_ns: engine.now_ns(),
             },
             stats: engine.stats(),
@@ -819,9 +843,7 @@ where
     Ok(CoSchedOutcome {
         shards,
         pressure,
-        trace: Rc::try_unwrap(trace)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|rc| rc.borrow().clone()),
+        trace: pool.map(|p| p.trace).unwrap_or_default(),
     })
 }
 
@@ -877,7 +899,7 @@ mod tests {
     #[test]
     fn events_fire_in_time_class_id_order() {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let mut s = Scheduler::new(None);
+        let mut s = Scheduler::new();
         recorders(
             &mut s,
             &log,
@@ -899,7 +921,7 @@ mod tests {
     #[test]
     fn same_key_ties_break_by_component_id() {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let mut s = Scheduler::new(None);
+        let mut s = Scheduler::new();
         recorders(
             &mut s,
             &log,
@@ -914,27 +936,103 @@ mod tests {
     }
 
     #[test]
-    fn fuzz_permutes_only_within_equal_time_class_batches() {
-        // Classes differ at t=7: fuzz must never reorder across classes.
-        for seed in [1u64, 2, 3, 4, 5] {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let mut s = Scheduler::new(Some(seed));
-            recorders(
-                &mut s,
-                &log,
-                &[
-                    (CLASS_APP, &[7][..]),
-                    (CLASS_DAEMON, &[7][..]),
-                    (CLASS_APP, &[7][..]),
-                ],
-            );
-            s.run().unwrap();
-            let order: Vec<u32> = log.borrow().iter().map(|&(id, _)| id).collect();
-            assert_eq!(order[0], 1, "daemon class fires first regardless of fuzz");
-            let mut apps = order[1..].to_vec();
-            apps.sort_unstable();
-            assert_eq!(apps, vec![0, 2], "apps fire once each, any order");
+    fn run_until_leaves_an_event_at_the_limit_for_the_next_call() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut s = Scheduler::new();
+        recorders(&mut s, &log, &[(CLASS_APP, &[5, 10, 15][..])]);
+        assert!(s.run_until(10), "the event at 10 is still pending");
+        assert_eq!(*log.borrow(), vec![(0, 5)]);
+        assert!(!s.run_until(16), "the last tick parks the recorder");
+        assert_eq!(*log.borrow(), vec![(0, 5), (0, 10), (0, 15)]);
+    }
+
+    #[test]
+    fn stale_entry_whose_fresh_key_reaches_the_limit_stays_queued() {
+        /// Ticks at a time another party can move between calls.
+        struct Movable {
+            at: Rc<Cell<u64>>,
+            log: Rc<RefCell<Vec<(u32, u64)>>>,
         }
+        impl Component for Movable {
+            fn next_tick_ns(&self) -> u64 {
+                self.at.get()
+            }
+            fn tick(&mut self) -> Control {
+                self.log.borrow_mut().push((0, self.at.get()));
+                Control::Park
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let at = Rc::new(Cell::new(5));
+        let mut s = Scheduler::new();
+        s.add(
+            CLASS_APP,
+            0,
+            true,
+            Box::new(Movable {
+                at: Rc::clone(&at),
+                log: Rc::clone(&log),
+            }),
+        );
+        // Registration keyed the event at 5; move it past the limit.
+        at.set(12);
+        assert!(s.run_until(10), "key 5 is stale; its fresh key 12 waits");
+        assert!(log.borrow().is_empty());
+        assert!(!s.run_until(13));
+        assert_eq!(*log.borrow(), vec![(0, 12)]);
+    }
+
+    #[test]
+    fn same_key_batch_below_the_limit_runs_in_id_order() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut s = Scheduler::new();
+        // Component 0 re-keys to the same instant: every batch member
+        // ticks once before it runs again.
+        recorders(
+            &mut s,
+            &log,
+            &[
+                (CLASS_APP, &[7, 7][..]),
+                (CLASS_APP, &[7][..]),
+                (CLASS_APP, &[7][..]),
+            ],
+        );
+        assert!(!s.run_until(8));
+        assert_eq!(*log.borrow(), vec![(0, 7), (1, 7), (2, 7), (0, 7)]);
+    }
+
+    #[test]
+    fn run_until_reports_whether_an_essential_is_live() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut s = Scheduler::new();
+        s.add(
+            CLASS_APP,
+            0,
+            true,
+            Box::new(Recorder {
+                id: 0,
+                times: vec![5, 15],
+                at: 0,
+                log: Rc::clone(&log),
+            }),
+        );
+        s.add(
+            CLASS_DAEMON,
+            1,
+            false,
+            Box::new(Recorder {
+                id: 1,
+                times: vec![20, 30],
+                at: 0,
+                log: Rc::clone(&log),
+            }),
+        );
+        assert!(s.run_until(10));
+        // Only the non-essential daemon is left: the loop is done even
+        // though it still has events queued.
+        assert!(!s.run_until(25));
+        assert!(!s.run_until(u64::MAX));
+        assert_eq!(*log.borrow(), vec![(0, 5), (0, 15)]);
     }
 
     #[test]
@@ -952,7 +1050,7 @@ mod tests {
             }
         }
         let log = Rc::new(RefCell::new(Vec::new()));
-        let mut s = Scheduler::new(None);
+        let mut s = Scheduler::new();
         // Group 0: a parker at t=15 and a recorder that would tick at 10,
         // 20, 30 — only the 10 fires before the group parks.
         s.add(

@@ -159,13 +159,14 @@ THERMO_JOBS=1 scripts/golden.sh check tenants_shared
 echo "==> golden determinism cross-check (THERMO_JOBS=1, scen_fleet scen_storm)"
 THERMO_JOBS=1 scripts/golden.sh check scen_fleet scen_storm
 
-# Scheduler ordering-fuzz sweep: THERMO_SCHED_FUZZ permutes same-
-# (time, class) pop-order batches under a seeded RNG. The co-scheduled
-# goldens must be byte-identical under every seed — components sharing a
-# tick are required to commute (tests/sched_fuzz.rs sweeps the whole
-# registry; here both experiments that actually share a timeline are
-# re-checked against their committed goldens: tenants_shared's three
-# tenants and the scenario storm's 32 mixed-policy tenants).
+# Scheduler ordering-fuzz sweep: THERMO_SCHED_FUZZ permutes, under a
+# seeded RNG, the order in which the co-scheduled runner advances tenants
+# between two arbiter barriers. The co-scheduled goldens must be
+# byte-identical under every seed — tenants between barriers are
+# required to commute (tests/sched_fuzz.rs sweeps the whole registry;
+# here both experiments that actually share a timeline are re-checked
+# against their committed goldens: tenants_shared's three tenants and
+# the scenario storm's 32 mixed-policy tenants).
 for fuzz_seed in 1 2 3735928559 6840227782638526189; do
   echo "==> scheduler ordering-fuzz check (THERMO_SCHED_FUZZ=$fuzz_seed, tenants_shared scen_storm)"
   THERMO_SCHED_FUZZ=$fuzz_seed scripts/golden.sh check tenants_shared scen_storm
@@ -194,6 +195,17 @@ echo "    byte-identical"
 for fuzz_seed in 1 2 3735928559 6840227782638526189; do
   echo "==> steal-order fuzz check (THERMO_EXEC_FUZZ=$fuzz_seed, THERMO_JOBS=8, scen_fleet fig8)"
   THERMO_EXEC_FUZZ=$fuzz_seed THERMO_JOBS=8 scripts/golden.sh check scen_fleet fig8
+done
+
+# Benchmark exactness gate: perfbench checks every repetition's digest
+# against the value recorded for the default seed, plus the engine
+# identities, and exits nonzero on any mismatch. A short run of the
+# access-path and co-scheduled workloads makes that check gate scheduler
+# and engine changes; the throughput it prints is not gated here.
+for workload in redis_hot storm_shared; do
+  echo "==> perfbench exactness check ($workload, default seed, 5 s)"
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 5 --trace 0 | tail -n 1
 done
 
 echo "CI OK"

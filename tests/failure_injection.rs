@@ -300,7 +300,7 @@ fn poisoned_component_parks_its_group_and_drains_the_rest() {
     use std::rc::Rc;
 
     let ms = 1_000_000u64;
-    let mut sched = Scheduler::new(None);
+    let mut sched = Scheduler::new();
     let healthy = Rc::new(Cell::new(0u64));
     let sibling = Rc::new(Cell::new(0u64));
 
@@ -369,6 +369,94 @@ fn poisoned_component_parks_its_group_and_drains_the_rest() {
     assert_eq!(healthy.get(), 10, "healthy tenant must run to completion");
     // The sibling died with its group: ticks at 1ms and 2ms, nothing after.
     assert_eq!(sibling.get(), 2, "poisoned group must park atomically");
+}
+
+/// [`ColdHeavy`] that panics in `next_op` once virtual time reaches
+/// `panic_at_ns`, and records its start and last op time.
+struct Faulty {
+    inner: ColdHeavy,
+    panic_at_ns: u64,
+    start_ns: std::rc::Rc<std::cell::Cell<u64>>,
+    last_ns: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl Workload for Faulty {
+    fn name(&self) -> &str {
+        "faulty"
+    }
+
+    fn init(&mut self, engine: &mut Engine) {
+        self.inner.init(engine);
+        self.start_ns.set(engine.now_ns());
+    }
+
+    fn next_op(&mut self, now: u64, acc: &mut Vec<Access>) -> Option<u64> {
+        self.last_ns.set(now);
+        assert!(now < self.panic_at_ns, "injected fault at {now} ns");
+        self.inner.next_op(now, acc).map(|_| 20_000)
+    }
+}
+
+#[test]
+fn coscheduled_panics_report_the_lowest_global_id_and_drain_the_rest() {
+    // Four tenants on one arbitrated pool. Each registers daemon,
+    // reporter and app (ids 3t, 3t+1, 3t+2); the arbiter is id 12.
+    // Tenant 3 faults first in virtual time, tenant 1 later: the error
+    // must still name tenant 1's app, by its global id.
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    let ms = 1_000_000u64;
+    let duration_ns = 400 * ms;
+    let panic_at = [u64::MAX, 250 * ms, u64::MAX, 120 * ms];
+    let start: Vec<Rc<Cell<u64>>> = (0..4).map(|_| Rc::new(Cell::new(0))).collect();
+    let last: Vec<Rc<Cell<u64>>> = (0..4).map(|_| Rc::new(Cell::new(0))).collect();
+
+    let err = thermostat_suite::sim::run_tenants_coscheduled(4, duration_ns, 7, None, |t, _| {
+        let t = t as usize;
+        let mut cfg = SimConfig::paper_defaults(64 << 20, 64 << 20);
+        cfg.sched.shared_pool_bytes = 64 << 20;
+        cfg.sched.initial_grant_bytes = 16 << 20;
+        let workload = Faulty {
+            inner: ColdHeavy::new(8),
+            panic_at_ns: panic_at[t],
+            start_ns: Rc::clone(&start[t]),
+            last_ns: Rc::clone(&last[t]),
+        };
+        (Engine::new(cfg), Box::new(workload), Box::new(daemon()))
+    })
+    .err()
+    .expect("injected faults must surface");
+
+    let SchedError::ComponentPanicked {
+        component_id,
+        group,
+        label,
+        message,
+    } = err;
+    assert_eq!(component_id, 5, "tenant 1's app: the lowest global id");
+    assert_eq!(group, 1);
+    assert_eq!(label, "app:faulty");
+    assert!(
+        message.contains("injected fault"),
+        "panic payload must be captured, got: {message}"
+    );
+    for t in 0..4 {
+        let (start, last) = (start[t].get(), last[t].get());
+        if panic_at[t] == u64::MAX {
+            // A healthy tenant's last op starts within one op of its deadline.
+            assert!(
+                last < start + duration_ns && last + ms >= start + duration_ns,
+                "tenant {t} must drain to its deadline (start {start}, last op {last})"
+            );
+        } else {
+            // A faulty tenant stops at its first op past the fault time.
+            assert!(
+                last >= panic_at[t] && last < panic_at[t] + ms,
+                "tenant {t} must stop at its fault (last op {last})"
+            );
+        }
+    }
 }
 
 #[test]
