@@ -16,6 +16,7 @@
 
 use crate::spec::{GrowthSpec, PatternSpec, PhasedSpec};
 use thermo_sim::{Access, Engine, FootprintInfo, Workload};
+use thermo_util::fastdiv::{wrap_add, FastMod};
 use thermo_util::rng::{Rng, SeedableRng, SmallRng};
 use thermo_workloads::common::Region;
 use thermo_workloads::dist::{HotspotDist, KeyDist, ScrambledZipfian, UniformDist};
@@ -39,6 +40,61 @@ struct ResolvedPhase {
     mix: Vec<(usize, u32, u8, u32)>,
 }
 
+/// A region's access window in lines, with the growth schedule's
+/// divisors precomputed so `next_op` needs no hardware divide.
+struct Window {
+    /// Declared size in lines.
+    full: u64,
+    grow: Option<Growth>,
+}
+
+/// [`GrowthSpec`] in lines, its periods as exact [`FastMod`] divisors.
+struct Growth {
+    start: u64,
+    full_at: FastMod,
+    /// `None` without a sawtooth reset.
+    reset: Option<FastMod>,
+    step: bool,
+}
+
+impl Window {
+    fn new(decl_bytes: u64, grow: Option<GrowthSpec>) -> Self {
+        Self {
+            full: decl_bytes / 64,
+            grow: grow.map(|g| Growth {
+                start: g.start_bytes / 64,
+                full_at: FastMod::new(g.full_at_ns),
+                reset: (g.reset_period_ns > 0).then(|| FastMod::new(g.reset_period_ns)),
+                step: g.step,
+            }),
+        }
+    }
+
+    /// Lines accessible `t` ns past arrival: the declared size, shrunk
+    /// by the growth schedule.
+    #[inline]
+    fn lines_at(&self, t: u64) -> u64 {
+        let Some(g) = &self.grow else {
+            return self.full;
+        };
+        let te = g.reset.map_or(t, |r| r.rem(t));
+        if te >= g.full_at.divisor() {
+            self.full
+        } else if g.step {
+            g.start
+        } else {
+            // Linear fill. The u64 product is exact unless it overflows;
+            // u128 keeps the rare overflowing ns * bytes products exact.
+            let span = self.full - g.start;
+            g.start
+                + match span.checked_mul(te) {
+                    Some(p) => g.full_at.div(p),
+                    None => (span as u128 * te as u128 / g.full_at.divisor() as u128) as u64,
+                }
+        }
+    }
+}
+
 /// A [`Workload`] compiled from a [`PhasedSpec`].
 pub struct PhasedWorkload {
     name: String,
@@ -48,8 +104,10 @@ pub struct PhasedWorkload {
     regions: Vec<Region>,
     dists: Vec<LineDist>,
     cursors: Vec<u64>,
+    windows: Vec<Window>,
     phases: Vec<ResolvedPhase>,
     schedule_ns: u64,
+    schedule_mod: FastMod,
 }
 
 impl PhasedWorkload {
@@ -60,7 +118,8 @@ impl PhasedWorkload {
     /// # Panics
     ///
     /// Panics on specs that `ScenarioSpec::validate` rejects (empty
-    /// regions/phases, zero weights, dangling mix references).
+    /// regions/phases, zero weights, durations or `full_at_ns`, dangling
+    /// mix references).
     pub fn new(name: String, spec: PhasedSpec, start_ns: u64, seed: u64) -> Self {
         assert!(
             !spec.regions.is_empty() && !spec.phases.is_empty(),
@@ -96,9 +155,15 @@ impl PhasedWorkload {
             // `Synthetic` stream under an equal seed.
             rng: SmallRng::seed_from_u64(seed ^ 0x5ce9_a110),
             cursors: vec![0; spec.regions.len()],
+            windows: spec
+                .regions
+                .iter()
+                .map(|r| Window::new(r.bytes, r.grow))
+                .collect(),
             regions: Vec::new(),
             dists: Vec::new(),
             schedule_ns: cursor,
+            schedule_mod: FastMod::new(cursor),
             name,
             spec,
             start_ns,
@@ -114,7 +179,7 @@ impl PhasedWorkload {
     /// Index of the phase active at `t` ns past this tenant's arrival.
     fn phase_index_at(&self, t: u64) -> usize {
         let tp = if self.spec.repeat {
-            t % self.schedule_ns
+            self.schedule_mod.rem(t)
         } else {
             t.min(self.schedule_ns - 1)
         };
@@ -123,36 +188,16 @@ impl PhasedWorkload {
             .rposition(|p| tp >= p.start_ns)
             .expect("phase 0 starts at 0")
     }
+}
 
-    /// The accessible window of region `idx` in lines, `t` ns past
-    /// arrival: the declared size, shrunk by the growth schedule.
-    fn window_lines(&self, idx: usize, t: u64) -> u64 {
-        let decl = &self.spec.regions[idx];
-        let full = decl.bytes / 64;
-        match decl.grow {
-            None => full,
-            Some(GrowthSpec {
-                start_bytes,
-                full_at_ns,
-                reset_period_ns,
-                step,
-            }) => {
-                let start = start_bytes / 64;
-                let te = if reset_period_ns > 0 {
-                    t % reset_period_ns
-                } else {
-                    t
-                };
-                if te >= full_at_ns {
-                    full
-                } else if step {
-                    start
-                } else {
-                    // Linear fill; u128 keeps ns * bytes products exact.
-                    start + ((full - start) as u128 * te as u128 / full_at_ns as u128) as u64
-                }
-            }
-        }
+/// `x % window`, without the divide when `x` is already inside the
+/// window — always, for a sampler over a region at full size.
+#[inline]
+fn reduce(x: u64, window: u64) -> u64 {
+    if x < window {
+        x
+    } else {
+        x % window
     }
 }
 
@@ -215,28 +260,31 @@ impl Workload for PhasedWorkload {
         }
         let (idx, _, write_pct, lines_per_op) = chosen;
         let write = self.rng.gen_range(0..100u8) < write_pct;
-        let window = self.window_lines(idx, t);
+        let window = self.windows[idx].lines_at(t);
         let line = match &self.dists[idx] {
-            LineDist::Uniform(d) => d.sample(&mut self.rng) % window,
-            LineDist::Zipfian(d) => d.sample(&mut self.rng) % window,
-            LineDist::Hotspot(d) => d.sample(&mut self.rng) % window,
+            LineDist::Uniform(d) => reduce(d.sample(&mut self.rng), window),
+            LineDist::Zipfian(d) => reduce(d.sample(&mut self.rng), window),
+            LineDist::Hotspot(d) => reduce(d.sample(&mut self.rng), window),
             LineDist::Sequential => {
-                let c = self.cursors[idx] % window;
+                let c = reduce(self.cursors[idx], window);
                 self.cursors[idx] = c + 1;
                 c
             }
         };
         let region = self.regions[idx];
         let window_bytes = window * 64;
-        for l in 0..lines_per_op as u64 {
-            // Wrap within the *window*, not the declared size, so growth
-            // alone widens the touched set.
-            let va = region.base + ((line + l) * 64) % window_bytes;
+        // Wrap within the *window*, not the declared size, so growth alone
+        // widens the touched set: `off` steps through `((line + l) * 64) %
+        // window_bytes` one line at a time.
+        let mut off = line * 64;
+        for _ in 0..lines_per_op {
+            let va = region.base + off;
             accesses.push(if write {
                 Access::write(va)
             } else {
                 Access::read(va)
             });
+            off = wrap_add(off, 64, window_bytes);
         }
         Some(self.phases[p].effective_compute_ns)
     }
@@ -379,12 +427,12 @@ mod tests {
         w.init(&mut e);
         // Only the start window is resident at init.
         assert_eq!(e.rss_bytes(), (16 + 256) * PAGE);
-        assert_eq!(w.window_lines(0, 0), 16 * PAGE / 64);
-        assert_eq!(w.window_lines(0, 500_000), 72 * PAGE / 64);
-        assert_eq!(w.window_lines(0, 2_000_000), 128 * PAGE / 64);
+        assert_eq!(w.windows[0].lines_at(0), 16 * PAGE / 64);
+        assert_eq!(w.windows[0].lines_at(500_000), 72 * PAGE / 64);
+        assert_eq!(w.windows[0].lines_at(2_000_000), 128 * PAGE / 64);
         // Window never exceeds the declared bound.
         for t in [0, 123_456, 999_999, 10_000_000] {
-            assert!(w.window_lines(0, t) <= 128 * PAGE / 64);
+            assert!(w.windows[0].lines_at(t) <= 128 * PAGE / 64);
         }
     }
 
@@ -401,8 +449,8 @@ mod tests {
         let w = PhasedWorkload::new("t".to_string(), spec, 0, 1);
         let full = 128 * PAGE / 64;
         let start = 16 * PAGE / 64;
-        assert_eq!(w.window_lines(0, 900_000), full); // past full_at within period
-        assert_eq!(w.window_lines(0, 1_000_000), start); // compaction reset
+        assert_eq!(w.windows[0].lines_at(900_000), full); // past full_at within period
+        assert_eq!(w.windows[0].lines_at(1_000_000), start); // compaction reset
     }
 
     #[test]
@@ -415,8 +463,8 @@ mod tests {
             step: true,
         });
         let w = PhasedWorkload::new("t".to_string(), spec, 0, 1);
-        assert_eq!(w.window_lines(0, 499_999), 64 * PAGE / 64);
-        assert_eq!(w.window_lines(0, 500_000), 128 * PAGE / 64);
+        assert_eq!(w.windows[0].lines_at(499_999), 64 * PAGE / 64);
+        assert_eq!(w.windows[0].lines_at(500_000), 128 * PAGE / 64);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod runner;
 pub mod sched;
 pub mod series;
 pub mod stats;
-pub mod trace;
 pub mod workload;
 
 pub use arbiter::{Arbiter, ArbiterConfig, ArbiterEvent, Decision, DecisionKind, TenantReport};
@@ -61,5 +60,4 @@ pub use sched::{
 };
 pub use series::{RateSeries, SampledSeries};
 pub use stats::EngineStats;
-pub use trace::{Trace, TraceOp, TraceWorkload};
 pub use workload::{Access, FootprintInfo, Workload};

@@ -9,6 +9,15 @@
 //! deterministic. [`Scheduler::run_until`] stops short of a time limit,
 //! so a caller can interleave its own events at barriers.
 //!
+//! Each [`Component::tick`] gets a **horizon**: for an event popped alone,
+//! the earlier of the limit and the next key left on the heap; for a
+//! same-key batch, the batch's own time (one step each). The tenant app
+//! runs ahead through every op that starts before its horizon, so one
+//! event covers a run of ops instead of one. That is exact: an app op
+//! cannot move another component's key, stale heap keys are only ever
+//! earlier than fresh ones, and stopping at `now >= horizon` leaves a
+//! daemon keyed exactly at the horizon to run first, as its class says.
+//!
 //! [`run_tenants_coscheduled`] runs **tenant-major**: each tenant's
 //! components live in that tenant's own `Scheduler`, and the fast-tier
 //! [`crate::arbiter::Arbiter`] is ticked by a barrier loop. Before the
@@ -76,7 +85,14 @@ pub trait Component {
     fn next_tick_ns(&self) -> u64;
 
     /// Runs one step at its scheduled time and says what to do next.
-    fn tick(&mut self) -> Control;
+    ///
+    /// No other event of this scheduler is due before `horizon`, so a
+    /// component whose steps cannot move another component's key may keep
+    /// stepping while its own next time stays `< horizon` (the app's
+    /// run-ahead, DESIGN.md §13). It must stop at the first step that
+    /// reaches `horizon`; `horizon` equal to the scheduled time means
+    /// exactly one step.
+    fn tick(&mut self, horizon: u64) -> Control;
 
     /// Label used in error messages and traces.
     fn label(&self) -> String {
@@ -272,8 +288,18 @@ impl Scheduler {
             }
             batch.sort_unstable();
             batch.dedup();
+            // A lone event may run ahead up to the next queued key (a
+            // stale key is only ever earlier than the fresh one, so this
+            // is conservative) or the limit; a same-key batch steps once.
+            let horizon = if batch.len() == 1 {
+                self.heap
+                    .peek()
+                    .map_or(limit, |&Reverse((next, _, _))| next.min(limit))
+            } else {
+                t
+            };
             for &id in &batch {
-                self.run_one(t, id);
+                self.run_one(t, id, horizon);
             }
             self.batch = batch;
         }
@@ -304,7 +330,7 @@ impl Scheduler {
         })
     }
 
-    fn run_one(&mut self, t: u64, id: u32) {
+    fn run_one(&mut self, t: u64, id: u32, horizon: u64) {
         let slot = &mut self.slots[id as usize];
         // An earlier batch member may have parked this group or (in
         // principle) perturbed this component's schedule; re-validate.
@@ -318,7 +344,8 @@ impl Scheduler {
             }
             return;
         }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.comp.tick()));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.comp.tick(horizon)));
         match result {
             Ok(Control::Continue) => {
                 let next = slot.comp.next_tick_ns();
@@ -423,7 +450,8 @@ struct Mailbox {
     reports: std::collections::BTreeMap<u32, TenantReport>,
 }
 
-/// A tenant application: replays `run_for`'s op loop as tick events.
+/// A tenant application: replays `run_for`'s op loop, running ahead
+/// through every op that starts before the scheduler's horizon.
 struct AppComponent {
     engine: Rc<RefCell<Engine>>,
     workload: Box<dyn Workload>,
@@ -442,23 +470,31 @@ impl Component for AppComponent {
         }
     }
 
-    fn tick(&mut self) -> Control {
+    fn tick(&mut self, horizon: u64) -> Control {
         let mut engine = self.engine.borrow_mut();
-        if engine.now_ns() >= self.deadline_ns {
-            self.done = true;
-            return Control::ParkGroup;
-        }
-        self.accesses.clear();
-        let Some(compute_ns) = self.workload.next_op(engine.now_ns(), &mut self.accesses) else {
-            self.done = true;
-            return Control::ParkGroup;
+        let mut ops = 0u64;
+        let control = loop {
+            if engine.now_ns() >= self.deadline_ns {
+                self.done = true;
+                break Control::ParkGroup;
+            }
+            self.accesses.clear();
+            let Some(compute_ns) = self.workload.next_op(engine.now_ns(), &mut self.accesses)
+            else {
+                self.done = true;
+                break Control::ParkGroup;
+            };
+            for a in &self.accesses {
+                engine.access(a.va, a.write);
+            }
+            engine.advance_compute(compute_ns);
+            ops += 1;
+            if engine.now_ns() >= horizon {
+                break Control::Continue;
+            }
         };
-        for a in &self.accesses {
-            engine.access(a.va, a.write);
-        }
-        engine.advance_compute(compute_ns);
-        self.ops.set(self.ops.get() + 1);
-        Control::Continue
+        self.ops.set(self.ops.get() + ops);
+        control
     }
 
     fn label(&self) -> String {
@@ -480,7 +516,7 @@ impl Component for DaemonComponent {
         self.policy.next_due_ns()
     }
 
-    fn tick(&mut self) -> Control {
+    fn tick(&mut self, _horizon: u64) -> Control {
         let mut engine = self.engine.borrow_mut();
         if engine.now_ns() >= self.deadline_ns {
             // run_for exits its loop before firing a policy due at or
@@ -510,7 +546,7 @@ impl Component for FabricPump {
         self.next_ns
     }
 
-    fn tick(&mut self) -> Control {
+    fn tick(&mut self, _horizon: u64) -> Control {
         self.engine.borrow_mut().pump_fabric();
         self.next_ns += self.period_ns;
         Control::Continue
@@ -538,7 +574,7 @@ impl Component for ReporterComponent {
         self.next_ns
     }
 
-    fn tick(&mut self) -> Control {
+    fn tick(&mut self, _horizon: u64) -> Control {
         let engine = self.engine.borrow();
         let stats = engine.stats();
         let fault_ns = engine.config().trap.fault_latency_ns;
@@ -864,7 +900,7 @@ mod tests {
             self.times.get(self.at).copied().unwrap_or(u64::MAX)
         }
 
-        fn tick(&mut self) -> Control {
+        fn tick(&mut self, _horizon: u64) -> Control {
             let t = self.times[self.at];
             self.log.borrow_mut().push((self.id, t));
             self.at += 1;
@@ -874,6 +910,142 @@ mod tests {
                 Control::Continue
             }
         }
+    }
+
+    /// Runs ahead like the app: one step every `step` ns from `now`,
+    /// parking at `end`; logs each step as `(id, time)` and each tick's
+    /// horizon.
+    struct Stepper {
+        id: u32,
+        now: u64,
+        step: u64,
+        end: u64,
+        log: Rc<RefCell<Vec<(u32, u64)>>>,
+        horizons: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Component for Stepper {
+        fn next_tick_ns(&self) -> u64 {
+            if self.now >= self.end {
+                u64::MAX
+            } else {
+                self.now
+            }
+        }
+
+        fn tick(&mut self, horizon: u64) -> Control {
+            self.horizons.borrow_mut().push(horizon);
+            loop {
+                self.log.borrow_mut().push((self.id, self.now));
+                self.now += self.step;
+                if self.now >= self.end {
+                    return Control::Park;
+                }
+                if self.now >= horizon {
+                    return Control::Continue;
+                }
+            }
+        }
+    }
+
+    type Log = Rc<RefCell<Vec<(u32, u64)>>>;
+
+    /// Adds an app-class [`Stepper`] with id `id`, essential, in group `id`.
+    fn stepper(
+        s: &mut Scheduler,
+        log: &Log,
+        id: u32,
+        now: u64,
+        step: u64,
+        end: u64,
+    ) -> Rc<RefCell<Vec<u64>>> {
+        let horizons = Rc::new(RefCell::new(Vec::new()));
+        s.add(
+            CLASS_APP,
+            id,
+            true,
+            Box::new(Stepper {
+                id,
+                now,
+                step,
+                end,
+                log: Rc::clone(log),
+                horizons: Rc::clone(&horizons),
+            }),
+        );
+        horizons
+    }
+
+    /// Adds a non-essential daemon-class [`Recorder`] with id `id`.
+    fn daemon(s: &mut Scheduler, log: &Log, id: u32, times: &[u64]) {
+        s.add(
+            CLASS_DAEMON,
+            id,
+            false,
+            Box::new(Recorder {
+                id,
+                times: times.to_vec(),
+                at: 0,
+                log: Rc::clone(log),
+            }),
+        );
+    }
+
+    #[test]
+    fn run_ahead_stops_at_the_first_step_reaching_the_horizon() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut s = Scheduler::new();
+        let horizons = stepper(&mut s, &log, 0, 0, 3, 15);
+        daemon(&mut s, &log, 1, &[10]);
+        s.run().unwrap();
+        // Steps at 0, 3, 6 and 9 run in one tick; the step at 9 reaches
+        // 12 >= 10, so the daemon fires before the app resumes at 12.
+        assert_eq!(
+            *log.borrow(),
+            vec![(0, 0), (0, 3), (0, 6), (0, 9), (1, 10), (0, 12)]
+        );
+        assert_eq!(*horizons.borrow(), vec![10, u64::MAX]);
+    }
+
+    #[test]
+    fn daemon_keyed_exactly_at_the_horizon_ticks_before_the_app_resumes() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut s = Scheduler::new();
+        stepper(&mut s, &log, 0, 0, 5, 15);
+        daemon(&mut s, &log, 1, &[10]);
+        s.run().unwrap();
+        // The app lands exactly on the daemon's key: at t=10 the daemon
+        // (class 2) still goes first, as in a one-op-per-event loop.
+        assert_eq!(*log.borrow(), vec![(0, 0), (0, 5), (1, 10), (0, 10)]);
+    }
+
+    #[test]
+    fn same_key_batch_steps_once() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut s = Scheduler::new();
+        let h0 = stepper(&mut s, &log, 0, 0, 2, 6);
+        let h1 = stepper(&mut s, &log, 1, 0, 2, 6);
+        s.run().unwrap();
+        assert_eq!(
+            *log.borrow(),
+            vec![(0, 0), (1, 0), (0, 2), (1, 2), (0, 4), (1, 4)]
+        );
+        assert_eq!(*h0.borrow(), vec![0, 2, 4]);
+        assert_eq!(*h1.borrow(), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn barrier_limit_below_the_next_key_caps_the_run() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut s = Scheduler::new();
+        let horizons = stepper(&mut s, &log, 0, 0, 3, 30);
+        daemon(&mut s, &log, 1, &[100]);
+        assert!(s.run_until(10));
+        assert_eq!(*log.borrow(), vec![(0, 0), (0, 3), (0, 6), (0, 9)]);
+        assert_eq!(*horizons.borrow(), vec![10]);
+        assert!(!s.run_until(u64::MAX));
+        assert_eq!(log.borrow().last(), Some(&(0, 27)));
+        assert_eq!(*horizons.borrow(), vec![10, 100]);
     }
 
     fn recorders(
@@ -957,7 +1129,7 @@ mod tests {
             fn next_tick_ns(&self) -> u64 {
                 self.at.get()
             }
-            fn tick(&mut self) -> Control {
+            fn tick(&mut self, _horizon: u64) -> Control {
                 self.log.borrow_mut().push((0, self.at.get()));
                 Control::Park
             }
@@ -1044,7 +1216,7 @@ mod tests {
             fn next_tick_ns(&self) -> u64 {
                 15
             }
-            fn tick(&mut self) -> Control {
+            fn tick(&mut self, _horizon: u64) -> Control {
                 self.log.borrow_mut().push((99, 15));
                 Control::ParkGroup
             }

@@ -366,20 +366,23 @@ impl KeyDist for ZipfianDist {
 #[derive(Debug, Clone)]
 pub struct ScrambledZipfian {
     inner: ZipfianDist,
+    /// Precomputed magic for the `% n` spreading a rank over the key
+    /// space — exact, as in [`HotspotDist`].
+    n_mod: thermo_util::fastdiv::FastMod,
 }
 
 impl ScrambledZipfian {
     /// Scrambled Zipfian over `0..n` with YCSB's default theta.
     pub fn new(n: u64) -> Self {
-        Self {
-            inner: ZipfianDist::new(n, ZipfianDist::YCSB_THETA),
-        }
+        Self::with_theta(n, ZipfianDist::YCSB_THETA)
     }
 
     /// Scrambled Zipfian with explicit skew.
     pub fn with_theta(n: u64, theta: f64) -> Self {
+        let inner = ZipfianDist::new(n, theta);
         Self {
-            inner: ZipfianDist::new(n, theta),
+            n_mod: thermo_util::fastdiv::FastMod::new(n),
+            inner,
         }
     }
 }
@@ -399,7 +402,7 @@ impl KeyDist for ScrambledZipfian {
 
     fn sample(&self, rng: &mut SmallRng) -> u64 {
         let rank = self.inner.sample(rng);
-        fnv_mix(rank) % self.inner.n()
+        self.n_mod.rem(fnv_mix(rank))
     }
 }
 
@@ -537,6 +540,20 @@ mod tests {
             (low as f64 / 200_000.0) < 0.5,
             "scramble failed to spread head"
         );
+    }
+
+    #[test]
+    fn scrambled_zipfian_reduces_exactly_like_the_hardware_modulo() {
+        // Powers of two take FastMod's mask path, n = 1 the degenerate
+        // divisor, and odd n the multiply-shift path.
+        for n in [1u64, 2, 64, 4096, 1 << 16, 3, 37, 999, 100_003] {
+            let d = ScrambledZipfian::new(n);
+            let (mut a, mut b) = (rng(), rng());
+            for _ in 0..5_000 {
+                let want = fnv_mix(d.inner.sample(&mut b)) % n;
+                assert_eq!(d.sample(&mut a), want, "n={n}");
+            }
+        }
     }
 
     #[test]

@@ -207,5 +207,11 @@ for workload in redis_hot storm_shared; do
   cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seconds 5 --trace 0 | tail -n 1
 done
+# Off the recorded seed there is no digest to compare against, but the
+# engine identities and the agreement of every repetition's digest are
+# still checked.
+echo "==> perfbench exactness check (storm_shared, seed 4242, 5 s)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload storm_shared --seed 4242 --seconds 5 --trace 0 | tail -n 1
 
 echo "CI OK"

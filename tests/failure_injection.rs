@@ -256,7 +256,7 @@ impl Component for Pacer {
         self.now_ns + self.period_ns
     }
 
-    fn tick(&mut self) -> Control {
+    fn tick(&mut self, _horizon: u64) -> Control {
         self.now_ns += self.period_ns;
         self.ticks.set(self.ticks.get() + 1);
         if self.now_ns >= self.deadline_ns {
@@ -282,7 +282,7 @@ impl Component for Poisoned {
         self.at_ns
     }
 
-    fn tick(&mut self) -> Control {
+    fn tick(&mut self, _horizon: u64) -> Control {
         panic!("{}", self.message);
     }
 
